@@ -526,6 +526,10 @@ fn main() {
         stats.batch_shared,
         100.0 * stats.hit_rate()
     );
+    // Every in-process cell runs in a lockstep group, which lets cells
+    // sharing a workload placement share one simulation.
+    let lockstep = comet_sim::telemetry::lockstep_totals(comet_telemetry::global());
+    println!("{} cells simulated in {} runs", stats.simulated, lockstep.runs);
 
     let unknown: Vec<&String> = args
         .targets

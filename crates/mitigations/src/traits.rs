@@ -68,6 +68,25 @@ impl MitigationResponse {
 /// `Send` is a supertrait so that a per-channel mechanism instance can live
 /// inside a controller shard that runs on a worker thread of the parallel
 /// experiment executor.
+///
+/// # What the controller observes
+///
+/// The controller's decisions depend on a mechanism only through three
+/// outputs:
+///
+/// * the [`MitigationResponse`] of [`on_activation`](Self::on_activation)
+///   (and of the batched [`on_activations`](Self::on_activations), which
+///   must equal the per-activation responses),
+/// * [`act_latency_penalty`](Self::act_latency_penalty), and
+/// * [`next_tick_deadline`](Self::next_tick_deadline).
+///
+/// (`quiescent_activations` only decides *when* notifications are
+/// delivered, never what the controller does.) Lockstep tracker groups in
+/// `comet-sim` rely on this: several mechanisms share one simulation for as
+/// long as they agree on these outputs, and a member is evicted the moment
+/// it does not. A new method whose result the controller acts on must join
+/// that comparison (`comet_sim::lockstep`), or grouped runs stop being
+/// bit-identical to solo runs.
 pub trait RowHammerMitigation: Send {
     /// Short, stable mechanism name used in experiment reports (e.g. `"CoMeT"`).
     fn name(&self) -> &str;

@@ -5,8 +5,26 @@
 //! protocol — so this module implements the inverse: a strict recursive
 //! descent parser over the exact JSON subset the workspace emits (finite
 //! numbers, `\uXXXX`-escaped strings, arrays, string-keyed objects).
+//!
+//! Nesting is bounded by [`MAX_DEPTH`]: the parser recurses once per array
+//! or object level, so an unbounded document (`"[".repeat(200_000)`) would
+//! otherwise overflow the stack and abort the process reading it.
 
 use serde::Value;
+
+/// Deepest array/object nesting [`parse`] accepts. The workspace emits at
+/// most a handful of levels; anything deeper is rejected with
+/// [`JsonErrorKind::TooDeep`] before it can exhaust the stack.
+pub const MAX_DEPTH: usize = 128;
+
+/// What kind of parse failure a [`JsonError`] is.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum JsonErrorKind {
+    /// The text is not valid JSON (of the subset the workspace emits).
+    Syntax,
+    /// Arrays/objects nest deeper than [`MAX_DEPTH`].
+    TooDeep,
+}
 
 /// A parse failure: byte offset plus a short description.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -15,6 +33,8 @@ pub struct JsonError {
     pub offset: usize,
     /// What went wrong.
     pub message: String,
+    /// The failure class.
+    pub kind: JsonErrorKind,
 }
 
 impl std::fmt::Display for JsonError {
@@ -28,7 +48,7 @@ impl std::error::Error for JsonError {}
 /// Parses one complete JSON document; trailing non-whitespace is an error.
 pub fn parse(text: &str) -> Result<Value, JsonError> {
     let mut pos = 0;
-    let value = parse_value(text, &mut pos)?;
+    let value = parse_value(text, &mut pos, 0)?;
     skip_ws(text.as_bytes(), &mut pos);
     if pos != text.len() {
         return Err(err(pos, "trailing characters after JSON document"));
@@ -37,7 +57,7 @@ pub fn parse(text: &str) -> Result<Value, JsonError> {
 }
 
 fn err(offset: usize, message: impl Into<String>) -> JsonError {
-    JsonError { offset, message: message.into() }
+    JsonError { offset, message: message.into(), kind: JsonErrorKind::Syntax }
 }
 
 fn skip_ws(bytes: &[u8], pos: &mut usize) {
@@ -55,13 +75,21 @@ fn expect(bytes: &[u8], pos: &mut usize, byte: u8) -> Result<(), JsonError> {
     }
 }
 
-fn parse_value(text: &str, pos: &mut usize) -> Result<Value, JsonError> {
+/// Parses one value whose enclosing arrays/objects number `depth`.
+fn parse_value(text: &str, pos: &mut usize, depth: usize) -> Result<Value, JsonError> {
     let bytes = text.as_bytes();
     skip_ws(bytes, pos);
+    if matches!(bytes.get(*pos), Some(b'{' | b'[')) && depth >= MAX_DEPTH {
+        return Err(JsonError {
+            offset: *pos,
+            message: format!("nesting deeper than {MAX_DEPTH} levels"),
+            kind: JsonErrorKind::TooDeep,
+        });
+    }
     match bytes.get(*pos) {
         None => Err(err(*pos, "unexpected end of input")),
-        Some(b'{') => parse_object(text, pos),
-        Some(b'[') => parse_array(text, pos),
+        Some(b'{') => parse_object(text, pos, depth + 1),
+        Some(b'[') => parse_array(text, pos, depth + 1),
         Some(b'"') => Ok(Value::Str(parse_string(text, pos)?)),
         Some(b't') => parse_keyword(bytes, pos, "true", Value::Bool(true)),
         Some(b'f') => parse_keyword(bytes, pos, "false", Value::Bool(false)),
@@ -79,7 +107,7 @@ fn parse_keyword(bytes: &[u8], pos: &mut usize, word: &str, value: Value) -> Res
     }
 }
 
-fn parse_object(text: &str, pos: &mut usize) -> Result<Value, JsonError> {
+fn parse_object(text: &str, pos: &mut usize, depth: usize) -> Result<Value, JsonError> {
     let bytes = text.as_bytes();
     expect(bytes, pos, b'{')?;
     let mut entries = Vec::new();
@@ -93,7 +121,7 @@ fn parse_object(text: &str, pos: &mut usize) -> Result<Value, JsonError> {
         let key = parse_string(text, pos)?;
         skip_ws(bytes, pos);
         expect(bytes, pos, b':')?;
-        let value = parse_value(text, pos)?;
+        let value = parse_value(text, pos, depth)?;
         entries.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -107,7 +135,7 @@ fn parse_object(text: &str, pos: &mut usize) -> Result<Value, JsonError> {
     }
 }
 
-fn parse_array(text: &str, pos: &mut usize) -> Result<Value, JsonError> {
+fn parse_array(text: &str, pos: &mut usize, depth: usize) -> Result<Value, JsonError> {
     let bytes = text.as_bytes();
     expect(bytes, pos, b'[')?;
     let mut items = Vec::new();
@@ -117,7 +145,7 @@ fn parse_array(text: &str, pos: &mut usize) -> Result<Value, JsonError> {
         return Ok(Value::Seq(items));
     }
     loop {
-        items.push(parse_value(text, pos)?);
+        items.push(parse_value(text, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -302,6 +330,56 @@ mod tests {
     fn rejects_malformed_documents() {
         for bad in ["", "{", "[1,", "{\"a\":}", "tru", "1.2.3", "\"unterminated", "{} extra"] {
             assert!(parse(bad).is_err(), "{bad:?} should not parse");
+        }
+    }
+
+    fn nested_arrays(depth: usize) -> String {
+        format!("{}{}", "[".repeat(depth), "]".repeat(depth))
+    }
+
+    fn nested_objects(depth: usize) -> String {
+        format!("{}1{}", "{\"a\":".repeat(depth), "}".repeat(depth))
+    }
+
+    #[test]
+    fn nesting_up_to_the_limit_parses() {
+        for text in [nested_arrays(MAX_DEPTH), nested_objects(MAX_DEPTH)] {
+            let mut value = parse(&text).expect("nesting at the limit is accepted");
+            let mut levels = 0;
+            loop {
+                value = match value {
+                    Value::Seq(mut items) => match items.pop() {
+                        Some(inner) => inner,
+                        None => {
+                            levels += 1;
+                            break;
+                        }
+                    },
+                    Value::Map(mut entries) => entries.pop().expect("one entry per level").1,
+                    _ => break,
+                };
+                levels += 1;
+            }
+            assert_eq!(levels, MAX_DEPTH, "{}", &text[..8]);
+        }
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_a_typed_error() {
+        for text in [nested_arrays(MAX_DEPTH + 1), nested_objects(MAX_DEPTH + 1)] {
+            let error = parse(&text).unwrap_err();
+            assert_eq!(error.kind, JsonErrorKind::TooDeep, "{error}");
+            // The error points at the first bracket past the limit.
+            let bracket = if text.starts_with('[') { 1 } else { "{\"a\":".len() };
+            assert_eq!(error.offset, MAX_DEPTH * bracket, "{error}");
+        }
+        assert_eq!(parse("[1,").unwrap_err().kind, JsonErrorKind::Syntax);
+    }
+
+    #[test]
+    fn hostile_nesting_does_not_overflow_the_stack() {
+        for text in ["[".repeat(200_000), "{\"a\":".repeat(200_000)] {
+            assert_eq!(parse(&text).unwrap_err().kind, JsonErrorKind::TooDeep);
         }
     }
 

@@ -32,6 +32,21 @@
 //!   boundary, retried up to [`ServiceConfig::panic_retries`] times, and
 //!   surfaces as a typed [`RunnerError::WorkerPanic`] if it keeps
 //!   panicking. Sibling cells in the batch complete and cache normally.
+//!   A cell whose first attempt was to share a lockstep group run (see
+//!   below) and failed there — an injected fault, or a panic anywhere in
+//!   the shared run — falls back to this solo retry path.
+//!
+//! ## Lockstep groups
+//!
+//! Without a fleet attached, and on a runner that
+//! [supports it](Runner::supports_lockstep), the owned cells of one batch
+//! that share a workload placement run as lockstep tracker groups
+//! ([`comet_sim::lockstep`]): one simulation per group, every member that
+//! stays observably identical to the leader taking its result from that
+//! run, evicted members rerunning as a new group on any executor thread.
+//! Results are bit-identical to one simulation per cell, so cache keys,
+//! stored results and [`ServiceStats::simulated`] (which counts cells) do
+//! not change. Fleet leases stay one cell each.
 //! * **Degraded mode** — [`DEGRADE_AFTER_PERSIST_FAILURES`] consecutive
 //!   segment-append failures (disk full, I/O errors) flip the service into
 //!   cache-read-only degraded mode: requests keep being served (memory
@@ -43,8 +58,8 @@ use crate::faults::FaultPlan;
 use crate::fleet::{Fleet, FleetDisposition};
 use crate::key::{cell_key, CellKey};
 use crate::store::ResultStore;
-use comet_sim::experiments::{CellBackend, CellSpec, ParallelExecutor};
-use comet_sim::{RunResult, Runner, RunnerError};
+use comet_sim::experiments::{run_grouped_with, CellBackend, CellSpec, ParallelExecutor};
+use comet_sim::{LockstepOutcome, RunResult, Runner, RunnerError};
 use comet_telemetry::{Counter, Gauge, Registry};
 use serde::Serialize;
 use std::collections::{HashMap, HashSet};
@@ -566,8 +581,15 @@ impl ExperimentService {
                 }
             }
         }
+        self.run_local(runner, cell, 1)
+    }
+
+    /// The local retry loop of [`run_cell_contained`](Self::run_cell_contained),
+    /// starting at attempt `first` (a lockstep member whose first attempt
+    /// failed in its group continues at 2).
+    fn run_local(&self, runner: &Runner, cell: &CellSpec, first: u32) -> Result<RunResult, RunnerError> {
         let attempts = self.config.panic_retries.saturating_add(1);
-        for attempt in 1..=attempts {
+        for attempt in first..=attempts {
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 if let Some(plan) = &self.faults {
                     plan.on_simulate(&cell.label());
@@ -583,6 +605,55 @@ impl ExperimentService {
             }
         }
         Err(RunnerError::WorkerPanic { label: cell.label(), attempts })
+    }
+
+    /// Runs one lockstep group with the same containment as
+    /// [`run_cell_contained`](Self::run_cell_contained): every member's
+    /// first attempt passes the fault hook on its own, and a member whose
+    /// hook fires, or every member when the shared run panics, continues on
+    /// the solo retry path. Returns one outcome per member.
+    fn run_group_contained(&self, runner: &Runner, members: &[&CellSpec]) -> Vec<LockstepOutcome> {
+        let _span = comet_telemetry::span("service.cell");
+        let solo = |result: Result<RunResult, RunnerError>| match result {
+            Ok(result) => LockstepOutcome::Completed(Box::new(result)),
+            Err(error) => LockstepOutcome::Failed(error),
+        };
+        let attempts = self.config.panic_retries.saturating_add(1);
+        let mut outcomes: Vec<Option<LockstepOutcome>> = members.iter().map(|_| None).collect();
+        let mut live: Vec<usize> = Vec::with_capacity(members.len());
+        for (member, cell) in members.iter().enumerate() {
+            let hook = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                if let Some(plan) = &self.faults {
+                    plan.on_simulate(&cell.label());
+                }
+            }));
+            if hook.is_ok() {
+                live.push(member);
+                continue;
+            }
+            if attempts > 1 {
+                self.counters.worker_retries.inc();
+            }
+            outcomes[member] = Some(solo(self.run_local(runner, cell, 2)));
+        }
+        let group: Vec<&CellSpec> = live.iter().map(|&member| members[member]).collect();
+        let shared =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| CellSpec::run_lockstep(runner, &group)));
+        match shared {
+            Ok(shared) => {
+                for (&member, outcome) in live.iter().zip(shared) {
+                    outcomes[member] = Some(outcome);
+                }
+            }
+            // A panic in the shared run belongs to no one member: each one
+            // takes the full solo retry path.
+            Err(_) => {
+                for &member in &live {
+                    outcomes[member] = Some(solo(self.run_local(runner, members[member], 1)));
+                }
+            }
+        }
+        outcomes.into_iter().map(|outcome| outcome.expect("every member resolved")).collect()
     }
 
     /// Records `result` for `key`, evicts past the bound, wakes waiters,
@@ -776,8 +847,14 @@ impl CellBackend for ExperimentService {
         // not abort the batch — completed siblings are still cached, and the
         // failed keys are released for waiters.
         if !owned.is_empty() {
-            let outcomes =
-                self.executor.run(&owned, |_, &(_, index)| self.run_cell_contained(runner, &cells[index]));
+            let outcomes = if self.fleet.get().is_none() && runner.supports_lockstep() {
+                let owned_cells: Vec<&CellSpec> = owned.iter().map(|&(_, index)| &cells[index]).collect();
+                run_grouped_with(&self.executor, &owned_cells, |group| {
+                    self.run_group_contained(runner, group)
+                })
+            } else {
+                self.executor.run(&owned, |_, &(_, index)| self.run_cell_contained(runner, &cells[index]))
+            };
             for (&(key, index), outcome) in owned.iter().zip(outcomes) {
                 match outcome {
                     Ok(result) => {

@@ -625,6 +625,11 @@ impl MemoryController {
         self.mitigation.stats()
     }
 
+    /// The mitigation mechanism itself (end-of-run inspection).
+    pub(crate) fn mitigation(&self) -> &dyn RowHammerMitigation {
+        self.mitigation.as_ref()
+    }
+
     /// The mitigation mechanism's name.
     pub fn mitigation_name(&self) -> &str {
         self.mitigation.name()

@@ -163,15 +163,21 @@ impl TraceCore {
         Some(self.first_cycle_covering(self.clock_cpu))
     }
 
-    /// DRAM cycle at which a core whose [`advance`](Self::advance) returned
-    /// `None` (blocked) next needs to run, or `None` when only a
-    /// memory-system event can unblock it — a read-data return for an
+    /// A wake hint for a core whose [`advance`](Self::advance) returned
+    /// `None` (blocked): the DRAM cycle whose iteration covers the
+    /// completion of the read its full window waits on, or `None` when only
+    /// a memory-system event can unblock it — a read-data return for an
     /// instruction window stalled on an unknown completion, or a freed queue
     /// slot for a core stalled on a full controller queue. The simulation
     /// loop wakes one cycle after every issued command, which is exactly
     /// when those events become visible, so such cores need no wakeup of
     /// their own: this is what lets the event-driven loop skip the
     /// cycle-by-cycle retry probing of the dense reference loop.
+    ///
+    /// It is a hint for when to wake, not a bound before which re-advancing
+    /// is a no-op: a core whose dispatch clock already passed that
+    /// completion retires the read at its very next `advance` (see
+    /// [`front_read_retires_on_advance`](Self::front_read_retires_on_advance)).
     pub fn blocked_wake(&self) -> Option<Cycle> {
         if self.window_headroom() == 0 {
             // Window full: runnable again once the oldest read's data is back.
@@ -188,6 +194,14 @@ impl TraceCore {
             // paths today): behave like `next_wake`.
             Some(self.first_cycle_covering(self.clock_cpu))
         }
+    }
+
+    /// Whether the oldest outstanding read's completion is known and no
+    /// later than the core's dispatch clock, so the next
+    /// [`advance`](Self::advance) retires it at whatever cycle it runs
+    /// (retirement compares against the dispatch clock, not the cycle).
+    pub fn front_read_retires_on_advance(&self) -> bool {
+        self.outstanding.front().and_then(|f| f.completion_cpu).is_some_and(|t| t <= self.clock_cpu)
     }
 
     /// The memory channel whose progress is required to unblock a core whose

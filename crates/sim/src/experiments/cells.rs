@@ -14,6 +14,7 @@
 //! result cache and in-flight deduplication in front of the same executor.
 
 use super::ParallelExecutor;
+use crate::lockstep::LockstepOutcome;
 use crate::metrics::RunResult;
 use crate::runner::{MechanismKind, Runner, RunnerError};
 use comet_trace::AttackKind;
@@ -102,18 +103,29 @@ impl CellSpec {
     /// Runs this cell on `runner`. Deterministic: the result depends only on
     /// the spec and the runner's identity (config, seed, loop mode).
     pub fn run(&self, runner: &Runner) -> Result<RunResult, RunnerError> {
-        match &self.workload {
-            WorkloadSpec::Single { workload } => runner.run_single_core(workload, self.mechanism, self.nrh),
-            WorkloadSpec::Homogeneous { workload, cores } => {
-                runner.run_homogeneous(workload, *cores, self.mechanism, self.nrh)
-            }
-            WorkloadSpec::Attacked { workload, attack } => {
-                runner.run_with_attacker(workload, *attack, self.mechanism, self.nrh)
-            }
-            WorkloadSpec::Mix { name, workloads } => {
-                runner.run_mix(name, workloads, self.mechanism, self.nrh)
-            }
-        }
+        runner.run_placement(&self.workload, self.mechanism, self.nrh)
+    }
+
+    /// Runs `group` — cells sharing one workload placement — as one
+    /// lockstep tracker group on `runner` (see [`crate::lockstep`]): one
+    /// outcome per cell, in order; completed results are bit-identical to
+    /// each cell's [`run`](Self::run), and evicted cells must be rerun. A
+    /// placement error fails every cell, a mechanism missing from the
+    /// registry only its own cell. On a runner that does not
+    /// [support lockstep](Runner::supports_lockstep) every cell runs solo.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cells do not all share the first cell's workload.
+    pub fn run_lockstep(runner: &Runner, group: &[&CellSpec]) -> Vec<LockstepOutcome> {
+        let Some(first) = group.first() else { return Vec::new() };
+        assert!(
+            group.iter().all(|cell| cell.workload == first.workload),
+            "a lockstep group shares one workload placement"
+        );
+        let members: Vec<(MechanismKind, u64)> =
+            group.iter().map(|cell| (cell.mechanism, cell.nrh)).collect();
+        runner.run_lockstep(&first.workload, &members)
     }
 
     /// Human-readable cell label (`workload/mechanism/nrh`-style), for logs
@@ -127,6 +139,73 @@ impl CellSpec {
         };
         format!("{placement}/{}/nrh{}", self.mechanism.name(), self.nrh)
     }
+}
+
+/// Partitions cells into lockstep groups: positions of cells sharing a
+/// workload placement, groups in order of first appearance, positions in
+/// order within a group.
+fn lockstep_groups(cells: &[&CellSpec]) -> Vec<Vec<usize>> {
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    let mut group_of: HashMap<&WorkloadSpec, usize> = HashMap::new();
+    for (position, cell) in cells.iter().enumerate() {
+        let group = *group_of.entry(&cell.workload).or_insert_with(|| {
+            groups.push(Vec::new());
+            groups.len() - 1
+        });
+        groups[group].push(position);
+    }
+    groups
+}
+
+/// Runs `cells` on `executor` grouped by workload placement: every group
+/// simulates once in lockstep, and its evicted members rerun as a new group
+/// (recursively, possibly on another worker). Returns one result per cell,
+/// in order — each bit-identical to the cell's [`CellSpec::run`].
+pub fn run_grouped(
+    executor: &ParallelExecutor,
+    runner: &Runner,
+    cells: &[&CellSpec],
+) -> Vec<Result<RunResult, RunnerError>> {
+    run_grouped_with(executor, cells, |group| CellSpec::run_lockstep(runner, group))
+}
+
+/// [`run_grouped`] with the group runner supplied by the caller:
+/// `run_group` runs one group (cells sharing a placement) and returns one
+/// outcome per member, as [`CellSpec::run_lockstep`] does. The experiment
+/// service wraps that call in its fault containment.
+pub fn run_grouped_with<F>(
+    executor: &ParallelExecutor,
+    cells: &[&CellSpec],
+    run_group: F,
+) -> Vec<Result<RunResult, RunnerError>>
+where
+    F: Fn(&[&CellSpec]) -> Vec<LockstepOutcome> + Sync,
+{
+    let done = executor.run_tasks(lockstep_groups(cells), |group: Vec<usize>| {
+        let members: Vec<&CellSpec> = group.iter().map(|&position| cells[position]).collect();
+        let mut done = Vec::with_capacity(group.len());
+        let mut evicted = Vec::new();
+        let outcomes = run_group(&members);
+        assert_eq!(outcomes.len(), group.len(), "one outcome per group member");
+        for (position, outcome) in group.into_iter().zip(outcomes) {
+            match outcome {
+                LockstepOutcome::Completed(result) => done.push((position, Ok(*result))),
+                LockstepOutcome::Failed(error) => done.push((position, Err(error))),
+                LockstepOutcome::Evicted(_) => evicted.push(position),
+            }
+        }
+        // A group whose leader completes always shrinks, so reruns end.
+        assert!(!done.is_empty(), "a lockstep group resolved none of its members");
+        (done, if evicted.is_empty() { Vec::new() } else { vec![evicted] })
+    });
+    let mut slots: Vec<Option<Result<RunResult, RunnerError>>> = (0..cells.len()).map(|_| None).collect();
+    for (position, result) in done {
+        slots[position] = Some(result);
+    }
+    slots
+        .into_iter()
+        .map(|slot| slot.expect("every cell resolves: a group's leader always completes"))
+        .collect()
 }
 
 /// Anything that can execute a batch of experiment cells for a runner.
@@ -147,6 +226,10 @@ impl CellBackend for ParallelExecutor {
     /// results back to every occurrence. The in-batch dedupe is what makes
     /// plans free to enumerate overlapping grids (e.g. the adversarial
     /// studies' shared attacked baselines) without hand-rolled key tracking.
+    /// Unique cells sharing a workload placement run as lockstep groups
+    /// ([`run_grouped`]) when the runner supports it — a duplicate cell is
+    /// the degenerate member that can never disagree, so it is not even
+    /// added. Other runners run one simulation per unique cell.
     fn run_cells(&self, runner: &Runner, cells: &[CellSpec]) -> Result<Vec<RunResult>, RunnerError> {
         let mut unique: Vec<&CellSpec> = Vec::with_capacity(cells.len());
         let mut position: HashMap<&CellSpec, usize> = HashMap::with_capacity(cells.len());
@@ -159,7 +242,11 @@ impl CellBackend for ParallelExecutor {
                 })
             })
             .collect();
-        let results = self.try_run(&unique, |_, cell| cell.run(runner))?;
+        let results = if runner.supports_lockstep() {
+            run_grouped(self, runner, &unique).into_iter().collect::<Result<Vec<_>, _>>()?
+        } else {
+            self.try_run(&unique, |_, cell| cell.run(runner))?
+        };
         Ok(slot.into_iter().map(|index| results[index].clone()).collect())
     }
 }

@@ -25,7 +25,7 @@ pub mod singlecore;
 pub mod sweeps;
 
 pub use adversarial::{fig16_adversarial, AdversarialResult};
-pub use cells::{CellBackend, CellSpec, WorkloadSpec};
+pub use cells::{run_grouped, run_grouped_with, CellBackend, CellSpec, WorkloadSpec};
 pub use comparison::{fig12_fig14_comparison, radar_fig4, ComparisonResult, RadarPoint};
 pub use fpr::{fig17_false_positive_rate, FprPoint};
 pub use multicore::{fig13_fig15_multicore, mixed_multicore, MixedMulticoreResult, MulticoreResult};

@@ -14,7 +14,9 @@
 //! granularity) and collect `(index, result)` pairs that are merged back in
 //! order after the scope joins.
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Fans independent work items out over a fixed number of worker threads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -170,6 +172,101 @@ impl ParallelExecutor {
     }
 }
 
+/// The shared queue of [`ParallelExecutor::run_tasks`].
+struct TaskQueue<T> {
+    tasks: VecDeque<T>,
+    /// Tasks claimed and not yet finished: their follow-ups may still come.
+    running: usize,
+    /// A task panicked: the remaining workers stop (the panic re-raises at
+    /// join).
+    poisoned: bool,
+}
+
+/// Marks one claimed task finished, even when its work unwinds, so idle
+/// workers never wait for follow-ups that will not come.
+struct Finished<'a, T> {
+    queue: &'a Mutex<TaskQueue<T>>,
+    ready: &'a Condvar,
+}
+
+fn lock<T>(queue: &Mutex<TaskQueue<T>>) -> MutexGuard<'_, TaskQueue<T>> {
+    queue.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+impl<T> Drop for Finished<'_, T> {
+    fn drop(&mut self) {
+        let mut queue = lock(self.queue);
+        queue.running -= 1;
+        queue.poisoned |= std::thread::panicking();
+        drop(queue);
+        self.ready.notify_all();
+    }
+}
+
+impl ParallelExecutor {
+    /// Runs a task set that grows while it runs: `work` turns a task into
+    /// results plus follow-up tasks, which join the shared queue and may run
+    /// on any worker. Returns every result, in no particular order (callers
+    /// carry their own indices). Workers claim tasks first-in first-out.
+    pub fn run_tasks<T, R, F>(&self, tasks: Vec<T>, work: F) -> Vec<R>
+    where
+        T: Send,
+        R: Send,
+        F: Fn(T) -> (Vec<R>, Vec<T>) + Sync,
+    {
+        if self.threads == 1 || tasks.is_empty() {
+            let mut queue = VecDeque::from(tasks);
+            let mut results = Vec::new();
+            while let Some(task) = queue.pop_front() {
+                let (done, more) = work(task);
+                results.extend(done);
+                queue.extend(more);
+            }
+            return results;
+        }
+
+        let queue = Mutex::new(TaskQueue { tasks: VecDeque::from(tasks), running: 0, poisoned: false });
+        let ready = Condvar::new();
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..self.threads)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut local: Vec<R> = Vec::new();
+                        loop {
+                            let task = {
+                                let mut guard = lock(&queue);
+                                loop {
+                                    if guard.poisoned {
+                                        return local;
+                                    }
+                                    if let Some(task) = guard.tasks.pop_front() {
+                                        guard.running += 1;
+                                        break task;
+                                    }
+                                    if guard.running == 0 {
+                                        return local;
+                                    }
+                                    guard = ready.wait(guard).unwrap_or_else(PoisonError::into_inner);
+                                }
+                            };
+                            let finished = Finished { queue: &queue, ready: &ready };
+                            let (done, more) = work(task);
+                            local.extend(done);
+                            lock(&queue).tasks.extend(more);
+                            drop(finished);
+                        }
+                    })
+                })
+                .collect();
+            let mut results = Vec::new();
+            for handle in handles {
+                results.extend(handle.join().expect("experiment worker panicked"));
+            }
+            results
+        })
+    }
+}
+
 impl Default for ParallelExecutor {
     fn default() -> Self {
         Self::new()
@@ -239,6 +336,37 @@ mod tests {
         assert_eq!(result.unwrap_err(), "early failure");
         let ran = executed.load(Ordering::Relaxed);
         assert!(ran < items.len() / 2, "workers must stop claiming cells after a failure (ran {ran})");
+    }
+
+    #[test]
+    fn run_tasks_runs_follow_ups_on_any_worker() {
+        // Each task `n` yields `n` and splits into `n / 2` and `n - n / 2`
+        // until tasks reach 1: every leaf of every tree must come back once.
+        let work = |n: u64| -> (Vec<u64>, Vec<u64>) {
+            if n <= 1 {
+                (vec![n], Vec::new())
+            } else {
+                (Vec::new(), vec![n / 2, n - n / 2])
+            }
+        };
+        for threads in [1, 2, 4] {
+            let mut leaves = ParallelExecutor::with_threads(threads).run_tasks(vec![5, 8, 0], work);
+            leaves.sort_unstable();
+            assert_eq!(leaves, [vec![0], vec![1; 13]].concat(), "{threads} thread(s)");
+        }
+        let none: Vec<u64> = ParallelExecutor::with_threads(4).run_tasks(Vec::new(), work);
+        assert!(none.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "experiment worker panicked")]
+    fn run_tasks_propagates_a_panic_instead_of_waiting_forever() {
+        ParallelExecutor::with_threads(2).run_tasks(vec![1u64, 2, 3], |n| -> (Vec<u64>, Vec<u64>) {
+            if n == 2 {
+                panic!("task {n} failed");
+            }
+            (vec![n], vec![n + 10; usize::from(n < 10)])
+        });
     }
 
     #[test]

@@ -41,6 +41,7 @@
 pub mod controller;
 pub mod cpu;
 pub mod experiments;
+pub mod lockstep;
 pub mod memory;
 pub mod metrics;
 pub mod registry;
@@ -53,6 +54,7 @@ pub mod telemetry;
 
 pub use controller::{ControllerConfig, ControllerStats, MemoryController};
 pub use cpu::{CoreConfig, TraceCore};
+pub use lockstep::{EvictionReason, LockstepOutcome};
 // Part of `CoreConfig`'s public surface (the interleaving scheme field).
 pub use comet_dram::AddressScheme;
 pub use memory::{MemorySink, MemorySystem};

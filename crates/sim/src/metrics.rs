@@ -6,7 +6,7 @@ use comet_mitigations::MitigationStats;
 use serde::{Deserialize, Serialize};
 
 /// The outcome of one simulation run (one workload × one mechanism × one NRH).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RunResult {
     /// Workload / experiment label.
     pub label: String,

@@ -1,9 +1,12 @@
 //! The experiment runner: resolves mechanisms through the registry and runs
 //! workloads on the sharded simulated system.
 
+use crate::experiments::WorkloadSpec;
+use crate::lockstep::LockstepOutcome;
 use crate::metrics::RunResult;
 use crate::registry::MechanismRegistry;
 use crate::system::{LoopMode, SimConfig, System};
+use comet_mitigations::MitigationFactory;
 use comet_trace::{catalog, AttackKind, AttackTrace, SyntheticTrace, TraceSource};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -261,6 +264,18 @@ impl Runner {
         &self.registry
     }
 
+    /// Whether cells on this runner may share lockstep group runs
+    /// ([`CellSpec::run_lockstep`](crate::experiments::CellSpec::run_lockstep)):
+    /// only the serial event-driven loop runs them, so the dense reference
+    /// loop and the sharded, jittered and speculative engines keep one
+    /// simulation per cell.
+    pub fn supports_lockstep(&self) -> bool {
+        self.loop_mode == LoopMode::EventDriven
+            && self.shard_threads.is_none()
+            && self.window_jitter.is_none()
+            && self.speculation.is_none()
+    }
+
     fn validated_config(&self) -> Result<&SimConfig, RunnerError> {
         let problems = self.config.validate();
         if problems.is_empty() {
@@ -311,6 +326,103 @@ impl Runner {
         })
     }
 
+    /// The traces (one per core) and the result label of a workload
+    /// placement.
+    fn placement(&self, workload: &WorkloadSpec) -> Result<(Vec<Box<dyn TraceSource>>, String), RunnerError> {
+        match workload {
+            WorkloadSpec::Single { workload } => {
+                Ok((vec![self.workload_trace(workload, 0)?], workload.clone()))
+            }
+            WorkloadSpec::Homogeneous { workload, cores } => Ok((
+                (0..*cores).map(|c| self.workload_trace(workload, c)).collect::<Result<_, _>>()?,
+                format!("{workload}-x{cores}"),
+            )),
+            WorkloadSpec::Attacked { workload, attack } => {
+                let benign = self.workload_trace(workload, 0)?;
+                let attacker: Box<dyn TraceSource> = Box::new(AttackTrace::new(
+                    *attack,
+                    self.config.dram.geometry.clone(),
+                    self.seed ^ 0xA77AC,
+                ));
+                Ok((vec![benign, attacker], format!("{workload}+attack")))
+            }
+            // Each core's trace derives its randomness from the core index
+            // (like the homogeneous placement), so two cores running the same
+            // workload in one mix still see independent streams.
+            WorkloadSpec::Mix { name, workloads } => Ok((
+                workloads
+                    .iter()
+                    .enumerate()
+                    .map(|(core, workload)| self.workload_trace(workload, core))
+                    .collect::<Result<_, _>>()?,
+                name.clone(),
+            )),
+        }
+    }
+
+    /// Runs `workload` under `kind` at RowHammer threshold `nrh` — one cell.
+    pub(crate) fn run_placement(
+        &self,
+        workload: &WorkloadSpec,
+        kind: MechanismKind,
+        nrh: u64,
+    ) -> Result<RunResult, RunnerError> {
+        let (traces, label) = self.placement(workload)?;
+        self.run_system(traces, kind, nrh, label)
+    }
+
+    /// Runs `workload` once for every `(kind, nrh)` member, as one lockstep
+    /// tracker group (see [`crate::lockstep`]). Returns one outcome per
+    /// member, in member order; every completed result is bit-identical to
+    /// the member's [`run_placement`](Self::run_placement). A placement error
+    /// fails every member; a mechanism missing from the registry fails only
+    /// its member. On a runner that does not
+    /// [support lockstep](Self::supports_lockstep) every member runs solo.
+    pub(crate) fn run_lockstep(
+        &self,
+        workload: &WorkloadSpec,
+        members: &[(MechanismKind, u64)],
+    ) -> Vec<LockstepOutcome> {
+        let solo = |result: Result<RunResult, RunnerError>| match result {
+            Ok(result) => LockstepOutcome::Completed(Box::new(result)),
+            Err(error) => LockstepOutcome::Failed(error),
+        };
+        if !self.supports_lockstep() {
+            return members
+                .iter()
+                .map(|&(kind, nrh)| solo(self.run_placement(workload, kind, nrh)))
+                .collect();
+        }
+        let (traces, label) = match self.placement(workload) {
+            Ok(placement) => placement,
+            Err(error) => return members.iter().map(|_| LockstepOutcome::Failed(error.clone())).collect(),
+        };
+        let config = self.config.clone();
+        let factories: Vec<_> = members
+            .iter()
+            .map(|&(kind, nrh)| self.registry.factory(kind, nrh, &config.dram, self.seed))
+            .collect();
+        let built: Vec<&dyn MitigationFactory> =
+            factories.iter().flatten().map(|factory| factory as &dyn MitigationFactory).collect();
+        let mut runs = match built.len() {
+            0 => Vec::new(),
+            1 => {
+                let result = System::new(config, traces, built[0]).run(label);
+                crate::telemetry::publish_lockstep(1, &[], comet_telemetry::global());
+                vec![solo(Ok(result))]
+            }
+            _ => crate::lockstep::run_group(config, traces, &built, label),
+        }
+        .into_iter();
+        factories
+            .into_iter()
+            .map(|factory| match factory {
+                Err(error) => LockstepOutcome::Failed(error),
+                Ok(_) => runs.next().expect("one outcome per built member"),
+            })
+            .collect()
+    }
+
     /// Runs one single-core workload under `kind` at RowHammer threshold `nrh`.
     pub fn run_single_core(
         &self,
@@ -318,8 +430,7 @@ impl Runner {
         kind: MechanismKind,
         nrh: u64,
     ) -> Result<RunResult, RunnerError> {
-        let trace = self.workload_trace(workload, 0)?;
-        self.run_system(vec![trace], kind, nrh, workload.to_string())
+        self.run_placement(&WorkloadSpec::Single { workload: workload.to_string() }, kind, nrh)
     }
 
     /// Runs a homogeneous multi-core mix of `workload` on `cores` cores.
@@ -330,8 +441,7 @@ impl Runner {
         kind: MechanismKind,
         nrh: u64,
     ) -> Result<RunResult, RunnerError> {
-        let traces: Result<Vec<_>, _> = (0..cores).map(|c| self.workload_trace(workload, c)).collect();
-        self.run_system(traces?, kind, nrh, format!("{workload}-x{cores}"))
+        self.run_placement(&WorkloadSpec::Homogeneous { workload: workload.to_string(), cores }, kind, nrh)
     }
 
     /// Runs a heterogeneous multi-core mix: one named workload per core, in
@@ -345,12 +455,8 @@ impl Runner {
         kind: MechanismKind,
         nrh: u64,
     ) -> Result<RunResult, RunnerError> {
-        let traces: Result<Vec<_>, _> = workloads
-            .iter()
-            .enumerate()
-            .map(|(core, workload)| self.workload_trace(workload, core))
-            .collect();
-        self.run_system(traces?, kind, nrh, name.to_string())
+        let placement = WorkloadSpec::Mix { name: name.to_string(), workloads: workloads.to_vec() };
+        self.run_placement(&placement, kind, nrh)
     }
 
     /// Runs a benign workload alongside an attacker core executing `attack`.
@@ -361,10 +467,7 @@ impl Runner {
         kind: MechanismKind,
         nrh: u64,
     ) -> Result<RunResult, RunnerError> {
-        let benign = self.workload_trace(workload, 0)?;
-        let attacker: Box<dyn TraceSource> =
-            Box::new(AttackTrace::new(attack, self.config.dram.geometry.clone(), self.seed ^ 0xA77AC));
-        self.run_system(vec![benign, attacker], kind, nrh, format!("{workload}+attack"))
+        self.run_placement(&WorkloadSpec::Attacked { workload: workload.to_string(), attack }, kind, nrh)
     }
 
     /// Runs `workload` under every mechanism of `kinds`, returning

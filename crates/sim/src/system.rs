@@ -162,12 +162,14 @@ struct CoreSnapshot {
 /// Snapshot of every statistic taken at the warmup boundary, so the measured
 /// result covers only the post-warmup window. Shared by the serial and the
 /// shard-parallel simulation loops.
-struct WarmSnapshot {
+pub(crate) struct WarmSnapshot {
     core: Vec<CoreSnapshot>,
     ctrl: ControllerStats,
     energy: EnergyCounters,
     mitigation: MitigationStats,
     channel: ChannelStats,
+    /// Per-member statistics of a lockstep group (empty for a plain system).
+    pub(crate) members: Vec<Option<MitigationStats>>,
 }
 
 /// Per-core scheduling state of the shard-parallel (windowed) loop.
@@ -246,6 +248,18 @@ impl System {
     /// bit-identical across modes; only wall-clock time differs.
     pub fn run_with_mode(mut self, label: impl Into<String>, mode: LoopMode) -> RunResult {
         let _span = comet_telemetry::span("sim.run");
+        let warm = self.simulate(mode);
+        self.assemble(label.into(), &warm, EngineTelemetry::default())
+    }
+
+    /// The memory system (for end-of-run inspection).
+    pub(crate) fn memory(&self) -> &MemorySystem {
+        &self.memory
+    }
+
+    /// The serial simulation loop: runs to the end of the configuration's
+    /// window and returns the warmup-boundary snapshot.
+    pub(crate) fn simulate(&mut self, mode: LoopMode) -> WarmSnapshot {
         let warmup_end = self.config.warmup_cycles;
         let end = self.config.total_cycles();
         let mut now: Cycle = 0;
@@ -324,8 +338,7 @@ impl System {
                 LoopMode::DenseReference => next.min(now + 512).min(end),
             };
         }
-
-        self.assemble(label.into(), &warm, EngineTelemetry::default())
+        warm
     }
 
     /// Runs the simulation with the channel shards stepped on a pool of
@@ -522,8 +535,17 @@ impl System {
                                 w
                             }
                             None => {
-                                let hint = core
-                                    .blocked_wake()
+                                // `blocked_wake` is a wake hint, not a skip
+                                // bound: once the dispatch clock has passed
+                                // the oldest read's completion, the very
+                                // next re-advance retires it, whatever cycle
+                                // that completion maps to.
+                                let wake = if core.front_read_retires_on_advance() {
+                                    Some(now + 1)
+                                } else {
+                                    core.blocked_wake()
+                                };
+                                let hint = wake
                                     .or_else(|| {
                                         core.blocking_channel().map(|channel| {
                                             let bound = sink.shard_next_event(channel);
@@ -638,12 +660,25 @@ impl System {
             energy: self.memory.energy_counters(0),
             mitigation: self.memory.mitigation_stats(),
             channel: self.memory.channel_stats(),
+            members: crate::lockstep::member_stats(self),
         }
     }
 
     /// Assembles the measured (post-warmup) result and publishes the run's
     /// telemetry into the process-global metrics registry.
-    fn assemble(self, label: String, warm: &WarmSnapshot, mut engine: EngineTelemetry) -> RunResult {
+    fn assemble(self, label: String, warm: &WarmSnapshot, engine: EngineTelemetry) -> RunResult {
+        let result = self.measure(label, warm, engine);
+        crate::telemetry::publish_run(&result, comet_telemetry::global());
+        result
+    }
+
+    /// The measured (post-warmup) result of the finished run.
+    pub(crate) fn measure(
+        &self,
+        label: String,
+        warm: &WarmSnapshot,
+        mut engine: EngineTelemetry,
+    ) -> RunResult {
         let measured_cycles = self.config.total_cycles() - self.config.warmup_cycles;
         let ctrl = self.memory.stats().delta_since(&warm.ctrl);
         let mut energy = self.memory.energy_counters(0).delta_since(&warm.energy);
@@ -677,7 +712,7 @@ impl System {
             .collect();
         engine.tracker_gauges = self.memory.per_channel_mitigation_telemetry();
 
-        let result = RunResult {
+        RunResult {
             label,
             mechanism: self.memory.mitigation_name().to_string(),
             cores: self.cores.len(),
@@ -695,9 +730,7 @@ impl System {
             controller: ctrl,
             mitigation,
             engine,
-        };
-        crate::telemetry::publish_run(&result, comet_telemetry::global());
-        result
+        }
     }
 }
 
@@ -810,6 +843,27 @@ mod tests {
             // about replay fidelity.
             assert!(rollbacks_seen > 0, "{channels}ch: no speculation was ever rolled back");
         }
+    }
+
+    /// Regression: the windowed engine used a blocked core's wake hint as a
+    /// bound before which re-advancing it was a no-op. When the core's
+    /// dispatch clock has already passed the oldest read's completion, the
+    /// very next re-advance retires that read, so skipping to the hint
+    /// changed the run (this smoke cell's IPC drifted in the 6th digit).
+    #[test]
+    fn windowed_engine_matches_serial_when_the_clock_passed_the_front_read() {
+        use crate::experiments::ExperimentScope;
+        use crate::runner::{MechanismKind, Runner};
+        let runner = Runner::new(ExperimentScope::Smoke.sim_config());
+        let serial = runner.run_single_core("473.astar", MechanismKind::Para, 125).unwrap();
+        let windowed = runner
+            .clone()
+            .with_shard_threads(1)
+            .run_single_core("473.astar", MechanismKind::Para, 125)
+            .unwrap();
+        assert_eq!(serde_json::to_string(&serial).unwrap(), serde_json::to_string(&windowed).unwrap());
+        assert_eq!(serial.controller, windowed.controller);
+        assert_eq!(serial.energy_breakdown, windowed.energy_breakdown);
     }
 
     #[test]

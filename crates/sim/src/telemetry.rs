@@ -6,11 +6,17 @@
 //! across runs (a sweep's scrape shows fleet-wide totals); gauge families
 //! hold the most recent run's snapshot for their label set.
 //!
-//! All names are prefixed `comet_engine_` / `comet_tracker_`, disjoint from
+//! Lockstep tracker groups publish each completed member as its own run
+//! (so `comet_engine_runs_total` counts results, as a solo run of every cell
+//! would) plus the group's `comet_sim_lockstep_*` counters.
+//!
+//! All names are prefixed `comet_engine_` / `comet_tracker_` /
+//! `comet_sim_`, disjoint from
 //! the `service_` / `fleet_` / `worker_` families the experiment service
 //! keeps in its own registry, so rendering both into one scrape body can
 //! never collide.
 
+use crate::lockstep::EvictionReason;
 use crate::metrics::{RunResult, SPEC_DEPTH_BOUNDS, WINDOW_CYCLES_BOUNDS};
 use comet_telemetry::Registry;
 
@@ -153,6 +159,58 @@ pub fn publish_run(result: &RunResult, registry: &Registry) {
     }
 }
 
+/// Runs, members and evictions of lockstep tracker groups, as published by
+/// [`publish_lockstep`]. Cells simulated through lockstep groups are
+/// `members - evictions` (every evicted member reruns in a later run).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LockstepTotals {
+    /// Shared simulations run (one per group, single-member groups included).
+    pub runs: u64,
+    /// Members that entered a group run.
+    pub members: u64,
+    /// Members evicted from a group run (and rerun later).
+    pub evictions: u64,
+}
+
+const LOCKSTEP_RUNS: (&str, &str) =
+    ("comet_sim_lockstep_runs_total", "Lockstep group simulations run (single-member groups included).");
+const LOCKSTEP_MEMBERS: (&str, &str) =
+    ("comet_sim_lockstep_members_total", "Cells that entered a lockstep group simulation.");
+const LOCKSTEP_EVICTIONS: (&str, &str) = (
+    "comet_sim_lockstep_evictions_total",
+    "Lockstep members evicted for disagreeing with their leader, by the output they disagreed on.",
+);
+
+/// Publishes one lockstep group run: `members` cells shared it and the
+/// members that disagreed with the leader were evicted for `evictions`.
+/// Called once per run, at run end.
+pub fn publish_lockstep(members: usize, evictions: &[EvictionReason], registry: &Registry) {
+    registry.counter(LOCKSTEP_RUNS.0, LOCKSTEP_RUNS.1).inc();
+    registry.counter(LOCKSTEP_MEMBERS.0, LOCKSTEP_MEMBERS.1).add(members as u64);
+    for reason in EvictionReason::ALL {
+        let count = evictions.iter().filter(|&&r| r == reason).count() as u64;
+        registry
+            .counter_with(LOCKSTEP_EVICTIONS.0, LOCKSTEP_EVICTIONS.1, &[("reason", reason.name())])
+            .add(count);
+    }
+}
+
+/// Reads the lockstep counters back out of `registry`.
+pub fn lockstep_totals(registry: &Registry) -> LockstepTotals {
+    LockstepTotals {
+        runs: registry.counter(LOCKSTEP_RUNS.0, LOCKSTEP_RUNS.1).get(),
+        members: registry.counter(LOCKSTEP_MEMBERS.0, LOCKSTEP_MEMBERS.1).get(),
+        evictions: EvictionReason::ALL
+            .iter()
+            .map(|reason| {
+                registry
+                    .counter_with(LOCKSTEP_EVICTIONS.0, LOCKSTEP_EVICTIONS.1, &[("reason", reason.name())])
+                    .get()
+            })
+            .sum(),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -175,5 +233,18 @@ mod tests {
         // Counters accumulate across runs.
         publish_run(&result, &registry);
         assert!(registry.render().contains("comet_engine_runs_total{mech=\"CoMeT\"} 2"));
+    }
+
+    #[test]
+    fn lockstep_counters_accumulate_and_read_back() {
+        let registry = Registry::new();
+        assert_eq!(lockstep_totals(&registry), LockstepTotals::default());
+        publish_lockstep(5, &[EvictionReason::Penalty, EvictionReason::Response], &registry);
+        publish_lockstep(2, &[EvictionReason::Penalty], &registry);
+        publish_lockstep(1, &[], &registry);
+        assert_eq!(lockstep_totals(&registry), LockstepTotals { runs: 3, members: 8, evictions: 3 });
+        let text = registry.render();
+        assert!(text.contains("comet_sim_lockstep_evictions_total{reason=\"penalty\"} 2"), "{text}");
+        assert!(text.contains("comet_sim_lockstep_evictions_total{reason=\"deadline\"} 0"), "{text}");
     }
 }
